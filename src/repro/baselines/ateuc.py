@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core.trim_b import greedy_picks
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_upper_bound
 
@@ -32,31 +33,7 @@ def _greedy_coverage_curve(
     sets: list[np.ndarray], n: int, max_picks: int
 ) -> tuple[list[int], list[int]]:
     """Greedy pick sequence and the covered-set count after each pick."""
-    node_sets: dict[int, list[int]] = {}
-    for si, members in enumerate(sets):
-        for v in members.tolist():
-            node_sets.setdefault(v, []).append(si)
-    counts = np.zeros(n, dtype=np.int64)
-    for v, lst in node_sets.items():
-        counts[v] = len(lst)
-    covered = np.zeros(len(sets), dtype=bool)
-    picks: list[int] = []
-    curve: list[int] = []
-    covered_total = 0
-    for _ in range(max_picks):
-        v = int(np.argmax(counts))
-        if counts[v] <= 0:
-            break
-        picks.append(v)
-        for si in node_sets.get(v, []):
-            if not covered[si]:
-                covered[si] = True
-                covered_total += 1
-                for u in sets[si].tolist():
-                    counts[u] -= 1
-        counts[v] = -1
-        curve.append(covered_total)
-    return picks, curve
+    return greedy_picks(sets, n, max_picks)
 
 
 @dataclass

@@ -16,38 +16,59 @@ from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
 from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
 
 
+def greedy_picks(
+    sets: list[np.ndarray], n: int, max_picks: int
+) -> tuple[list[int], list[int]]:
+    """Greedy max coverage: up to ``max_picks`` nodes, each covering the
+    most still-uncovered sets (lowest id on ties), and the covered-set
+    count after each pick. Stops early once no node covers a new set.
+
+    Runs in O(n·picks + Σ|R| log Σ|R|): an argsort inverted node→sets
+    index over the concatenated members, and per pick one count update
+    over the members of the newly covered sets — the linear-time greedy
+    the paper cites [43], with numpy doing the inner loops.
+    """
+    lens = np.fromiter((len(m) for m in sets), dtype=np.int64, count=len(sets))
+    set_ptr = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(lens, out=set_ptr[1:])
+    members = np.concatenate([np.zeros(0, np.int64), *sets])
+    counts = np.bincount(members, minlength=n)
+    node_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=node_ptr[1:])
+    # Sets containing node v: set_of[by_node[node_ptr[v]:node_ptr[v+1]]].
+    by_node = np.argsort(members, kind="stable")
+    set_of = np.repeat(np.arange(len(sets)), lens)
+    covered = np.zeros(len(sets), dtype=bool)
+    picks: list[int] = []
+    curve: list[int] = []
+    covered_total = 0
+    for _ in range(max_picks):
+        v = int(np.argmax(counts))
+        if counts[v] <= 0:
+            break
+        hit = set_of[by_node[node_ptr[v] : node_ptr[v + 1]]]
+        hit = np.unique(hit[~covered[hit]])  # a set may list v twice
+        covered[hit] = True
+        covered_total += len(hit)
+        lo, size = set_ptr[hit], lens[hit]
+        start = np.cumsum(size) - size
+        gone = members[np.repeat(lo - start, size) + np.arange(int(size.sum()))]
+        np.subtract.at(counts, gone, 1)
+        counts[v] = -1  # never re-pick
+        picks.append(v)
+        curve.append(covered_total)
+    return picks, curve
+
+
 def greedy_max_coverage(
     sets: list[np.ndarray], n: int, b: int
 ) -> tuple[list[int], int]:
     """Standard greedy max coverage: pick b nodes, return (nodes, covered).
 
-    Runs in O(b · Σ|R|) via an inverted node→sets index with count
-    updates — the linear-time greedy the paper cites [43].
+    Stops early once everything coverable is covered.
     """
-    node_sets: dict[int, list[int]] = {}
-    for si, members in enumerate(sets):
-        for v in members.tolist():
-            node_sets.setdefault(v, []).append(si)
-    counts = np.zeros(n, dtype=np.int64)
-    for v, lst in node_sets.items():
-        counts[v] = len(lst)
-    covered = np.zeros(len(sets), dtype=bool)
-    chosen: list[int] = []
-    for _ in range(min(b, n)):
-        v = int(np.argmax(counts))
-        if counts[v] <= 0:
-            # Everything coverable is covered; pad deterministically with
-            # the highest-remaining-count nodes (all zero) is pointless —
-            # stop early instead.
-            break
-        chosen.append(v)
-        for si in node_sets.get(v, []):
-            if not covered[si]:
-                covered[si] = True
-                for u in sets[si].tolist():
-                    counts[u] -= 1
-        counts[v] = -1  # never re-pick
-    return chosen, int(covered.sum())
+    chosen, curve = greedy_picks(sets, n, min(b, n))
+    return chosen, curve[-1] if curve else 0
 
 
 def _collect_sets(

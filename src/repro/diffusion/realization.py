@@ -8,6 +8,7 @@ A realization φ fixes the status of every edge:
   probability p(u, v); since the weighted-cascade weights of v's
   in-edges sum to 1 (each is 1/indeg(v)), every node with indeg > 0
   picks one. Stored as the chosen source node per node (−1 for none).
+  In-weights summing past 1 are rejected rather than truncated.
 
 Spread under φ is then plain reachability over live edges, which is the
 classic live-edge equivalence of both models (Kempe et al.).
@@ -22,18 +23,57 @@ from repro.graphs.csr import GraphCSR
 IC = "IC"
 LT = "LT"
 
+# Float slack allowed on an LT node's in-weight sum before it is an error.
+LT_MASS_TOL = 1e-9
+
 
 def choose_in_edge(weights: np.ndarray, r: float) -> int:
     """LT live-edge choice: index of the chosen in-edge, or -1 for none.
 
     Edge j is chosen iff ``cum[j-1] <= r < cum[j]``; leftover mass
     ``1 - sum(weights)`` (zero under weighted cascade) selects no edge.
-    Shared by forward realization sampling and reverse mRR/RR sampling so
-    both directions use identical semantics.
+    The scalar reference for ``pick_in_edges``, which realization sampling
+    and the reverse mRR/RR sampler share.
     """
     cum = np.cumsum(weights)
     j = int(np.searchsorted(cum, r, side="right"))
     return j if j < len(weights) else -1
+
+
+def check_lt_weights(rev_indptr: np.ndarray, rev_cum: np.ndarray) -> None:
+    """Raise if some node's in-weights sum past 1: LT needs a distribution.
+
+    ``rev_cum`` is the global in-edge prefix sum (``GraphCSR.rev_cum``).
+    """
+    mass = rev_cum[rev_indptr[1:]] - rev_cum[rev_indptr[:-1]]
+    over = np.nonzero(mass > 1.0 + LT_MASS_TOL)[0]
+    if len(over):
+        v = int(over[0])
+        raise ValueError(
+            f"LT in-weights of node {v} sum to {mass[v]!r} > 1 "
+            f"({len(over)} node(s) over)"
+        )
+
+
+def pick_in_edges(
+    rev_indptr: np.ndarray,
+    rev_indices: np.ndarray,
+    rev_cum: np.ndarray,
+    nodes: np.ndarray,
+    r: np.ndarray,
+) -> np.ndarray:
+    """Vectorized ``choose_in_edge``: the chosen in-neighbour of each node.
+
+    Node ``nodes[i]`` picks its in-edge whose slice of the global prefix
+    sum ``rev_cum`` holds ``rev_cum[lo] + r[i]``; past its last edge (the
+    leftover mass) it picks none, reported as -1.
+    """
+    lo = rev_indptr[nodes]
+    slot = np.searchsorted(rev_cum, rev_cum[lo] + r, side="right") - 1
+    hit = slot < rev_indptr[nodes + 1]
+    src = np.full(len(nodes), -1, dtype=np.int64)
+    src[hit] = rev_indices[slot[hit]]
+    return src
 
 
 @dataclass
@@ -79,14 +119,10 @@ def sample_realization(g: GraphCSR, model: str, seed: int) -> Realization:
         live = rng.random(g.m) < g.fwd_probs
         return Realization(graph=g, model=IC, live_fwd=live, chosen_src=None)
     if model == LT:
-        chosen = np.full(g.n, -1, dtype=np.int64)
+        check_lt_weights(g.rev_indptr, g.rev_cum)
         r = rng.random(g.n)
-        for v in range(g.n):
-            lo, hi = g.rev_indptr[v], g.rev_indptr[v + 1]
-            if hi == lo:
-                continue
-            idx = choose_in_edge(g.rev_probs[lo:hi], r[v])
-            if idx >= 0:
-                chosen[v] = g.rev_indices[lo + idx]
+        chosen = pick_in_edges(
+            g.rev_indptr, g.rev_indices, g.rev_cum, np.arange(g.n), r
+        )
         return Realization(graph=g, model=LT, live_fwd=None, chosen_src=chosen)
     raise ValueError(f"unknown model {model!r}")

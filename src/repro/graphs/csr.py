@@ -29,6 +29,9 @@ class GraphCSR:
     rev_indptr, rev_indices : in-adjacency, CSR over destination node.
     rev_probs : p(u, v) aligned with ``rev_indices``; under weighted
         cascade all in-edges of ``v`` share ``1/indeg(v)``.
+    rev_cum : prefix sum of ``rev_probs`` with a leading 0 (length m+1);
+        node ``v``'s in-edges own ``[rev_cum[lo], rev_cum[hi])``, which is
+        what the vectorized LT pick searches.
     indeg, outdeg : degree arrays.
     """
 
@@ -40,6 +43,7 @@ class GraphCSR:
     rev_indptr: np.ndarray
     rev_indices: np.ndarray
     rev_probs: np.ndarray
+    rev_cum: np.ndarray
     indeg: np.ndarray
     outdeg: np.ndarray
     _bc: dict = field(default_factory=dict, repr=False)
@@ -56,7 +60,8 @@ class GraphCSR:
         ``probs`` overrides the default weighted-cascade assignment
         ``p(u, v) = wc_scale/indeg(v)`` (aligned with the row order of
         ``edges``). ``wc_scale`` is the lite-scale damping documented in
-        ``graphs.generator.DatasetSpec``.
+        ``graphs.generator.DatasetSpec``. Probabilities outside [0, 1]
+        (or NaN) raise ``ValueError``.
         """
         src = edges["src"].to_numpy(np.int64)
         dst = edges["dst"].to_numpy(np.int64)
@@ -70,6 +75,15 @@ class GraphCSR:
                 p_edge = wc_scale / indeg[dst]
         else:
             p_edge = np.asarray(probs, dtype=np.float64)
+            if p_edge.shape != (m,):
+                raise ValueError(f"probs has shape {p_edge.shape}, expected ({m},)")
+        bad = ~((p_edge >= 0.0) & (p_edge <= 1.0))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(
+                f"edge probability {p_edge[j]!r} of ({src[j]}, {dst[j]}) "
+                "is outside [0, 1]"
+            )
         # Forward CSR, sorted by src.
         order_f = np.argsort(src, kind="stable")
         fwd_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -82,6 +96,8 @@ class GraphCSR:
         np.cumsum(indeg, out=rev_indptr[1:])
         rev_indices = src[order_r]
         rev_probs = p_edge[order_r]
+        rev_cum = np.zeros(m + 1, dtype=np.float64)
+        np.cumsum(rev_probs, out=rev_cum[1:])
         return GraphCSR(
             n=n,
             m=m,
@@ -91,6 +107,7 @@ class GraphCSR:
             rev_indptr=rev_indptr,
             rev_indices=rev_indices,
             rev_probs=rev_probs,
+            rev_cum=rev_cum,
             indeg=indeg,
             outdeg=outdeg,
         )
@@ -115,6 +132,7 @@ class GraphCSR:
             "rev_indptr": self.rev_indptr,
             "rev_indices": self.rev_indices,
             "rev_probs": self.rev_probs,
+            "rev_cum": self.rev_cum,
             "fwd_indptr": self.fwd_indptr,
             "fwd_indices": self.fwd_indices,
             "fwd_probs": self.fwd_probs,

@@ -9,6 +9,13 @@ time it is examined (each edge is examined at most once per set, so the
 statuses are consistent, exactly the argument in §3.3); LT lets each
 popped node keep its single live in-edge choice.
 
+One numpy kernel samples a whole batch of sets at once: a
+level-synchronous reverse BFS whose frontier is (set, node) pairs over a
+dense per-chunk visited bitmap. Each IC level flips all its coins in one
+``rng.random`` call; each LT level makes one vectorized pick per popped
+node (``diffusion.realization.pick_in_edges``). A batch comes back packed
+as ``(indptr, members)``.
+
 Single-root RR sets for the baselines are the ``roots="rr"`` mode of the
 same machinery.
 
@@ -24,7 +31,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.diffusion.realization import IC, LT
+from repro.diffusion.realization import IC, LT, check_lt_weights, pick_in_edges
 from repro.graphs.csr import GraphCSR
 
 PAIRS_SCHEMA = StructType(
@@ -32,50 +39,117 @@ PAIRS_SCHEMA = StructType(
 )
 
 
-def sample_root_size(n_i: int, eta_i: int, rng: np.random.Generator) -> int:
-    """Randomized-rounded root count with E[k] = n_i/η_i (Thm 3.3).
+# Budget of the dense visited bitmap (sets per chunk × n bools). Larger
+# chunks cut per-level numpy overhead until the bitmap outgrows the cache;
+# 2 MiB measured fastest on nethept_lite and epinions_lite.
+VISITED_BYTES = 1 << 21
+# Budget of the random-key matrix (sets × n_i floats) of the dense root draw.
+ROOT_KEYS = 1 << 18
 
-    k = ⌊n_i/η_i⌋ + 1 with probability frac(n_i/η_i), else ⌊n_i/η_i⌋.
+
+def sample_root_sizes(
+    n_i: int, eta_i: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` randomized-rounded root counts with E[k] = n_i/η_i (Thm 3.3).
+
+    k = ⌊n_i/η_i⌋ + 1 with probability frac(n_i/η_i), else ⌊n_i/η_i⌋,
+    clipped to [1, n_i].
     """
     ratio = n_i / eta_i
     k_low = int(ratio)
-    r = ratio - k_low
-    k = k_low + 1 if rng.random() < r else k_low
-    return max(1, min(k, n_i))
+    ks = k_low + (rng.random(count) < ratio - k_low)
+    return np.clip(ks, 1, n_i).astype(np.int64)
+
+
+def sample_root_size(n_i: int, eta_i: int, rng: np.random.Generator) -> int:
+    """One root count; see ``sample_root_sizes``."""
+    return int(sample_root_sizes(n_i, eta_i, 1, rng)[0])
+
+
+def _draw_roots(
+    active_idx: np.ndarray, ks: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ks[s]`` distinct active roots for each set ``s``, as ``(set, node)``
+    pairs.
+
+    Both draws treat node labels symmetrically, so every k-subset of the
+    active nodes is equally likely — the without-replacement law
+    C(n−x,k)/C(n,k) of Thm 3.3. Small k: draw uniformly and re-draw the
+    duplicates within a set until none is left. Large k (> n_i/4, where
+    re-drawing would crawl): take the k smallest of one random key per
+    (set, active node).
+    """
+    n_i = len(active_idx)
+    sid = np.repeat(np.arange(len(ks)), ks)
+    if 4 * int(ks.max()) > n_i:
+        rows = max(1, ROOT_KEYS // n_i)
+        slots = []
+        for lo in range(0, len(ks), rows):
+            k = ks[lo : lo + rows]
+            order = np.argsort(rng.random((len(k), n_i)), axis=1)
+            slots.append(order[np.arange(n_i) < k[:, None]])
+        return sid, active_idx[np.concatenate(slots)]
+    pick = sid * n_i + rng.integers(0, n_i, size=len(sid))
+    while True:
+        pick.sort()
+        dup = np.flatnonzero(pick[1:] == pick[:-1]) + 1
+        if len(dup) == 0:
+            break
+        pick[dup] += rng.integers(0, n_i, size=len(dup)) - pick[dup] % n_i
+    return sid, active_idx[pick % n_i]
 
 
 def _reverse_bfs(
     payload: dict,
     active: np.ndarray,
-    roots: np.ndarray,
+    sid: np.ndarray,
+    node: np.ndarray,
+    c: int,
     rng: np.random.Generator,
     model: str,
+    visited: np.ndarray,
 ) -> np.ndarray:
-    """One stochastic reverse BFS; returns the visited node ids."""
+    """Level-synchronous stochastic reverse BFS of a chunk of ``c`` sets.
+
+    Starts from the root pairs ``(sid, node)``; returns every visited pair
+    as a key ``set·n + node``, sorted (so grouped by set). Each (set, node)
+    enters the frontier once, so each in-edge is examined at most once per
+    set. The frontier is keyed ``node·c + set`` so it stays sorted by node,
+    which keeps the edge gathers and the LT search near-sequential.
+    ``visited`` is the chunk's flat bitmap; it is left all-False on return.
+    """
+    n = payload["n"]
     rev_indptr = payload["rev_indptr"]
     rev_indices = payload["rev_indices"]
-    rev_probs = payload["rev_probs"]
-    visited = {int(v) for v in roots}
-    frontier = list(visited)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            lo, hi = rev_indptr[v], rev_indptr[v + 1]
-            if hi == lo:
-                continue
-            if model == IC:
-                coins = rng.random(hi - lo) < rev_probs[lo:hi]
-                srcs = rev_indices[lo:hi][coins]
-            else:  # LT: the node keeps exactly one live in-edge.
-                cum = np.cumsum(rev_probs[lo:hi])
-                j = int(np.searchsorted(cum, rng.random(), side="right"))
-                srcs = rev_indices[lo + j : lo + j + 1] if j < hi - lo else rev_indices[:0]
-            for u in srcs.tolist():
-                if active[u] and u not in visited:
-                    visited.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return np.fromiter(visited, dtype=np.int64, count=len(visited))
+    keys = np.sort(node * c + sid)
+    out = [keys]
+    visited[keys] = True
+    while len(keys):
+        node, sid = np.divmod(keys, c)
+        if model == IC:
+            lo = rev_indptr[node]
+            deg = rev_indptr[node + 1] - lo
+            # Edge slots of every frontier node, and one coin per slot.
+            start = np.cumsum(deg) - deg
+            slots = np.repeat(lo - start, deg) + np.arange(int(start[-1] + deg[-1]))
+            live = rng.random(len(slots)) < payload["rev_probs"][slots]
+            src = rev_indices[slots[live]]
+            sid = np.repeat(sid, deg)[live]
+        else:  # LT: each node keeps its single live in-edge choice.
+            src = pick_in_edges(
+                rev_indptr, rev_indices, payload["rev_cum"], node, rng.random(len(node))
+            )
+            sid = sid[src >= 0]
+            src = src[src >= 0]
+        keep = active[src]
+        cand = src[keep] * c + sid[keep]
+        keys = np.unique(cand[~visited[cand]])
+        visited[keys] = True
+        out.append(keys)
+    found = np.concatenate(out)
+    visited[found] = False
+    node, sid = np.divmod(found, c)
+    return np.sort(sid * n + node)
 
 
 def _generate_batch(
@@ -87,23 +161,35 @@ def _generate_batch(
     roots: str,
     count: int,
     seed: int,
-    id_offset: int,
-) -> list[tuple[int, np.ndarray]]:
-    """Generate ``count`` sets locally; list of (set_id, member array)."""
-    rng = np.random.default_rng(seed)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generate ``count`` sets as a packed CSR batch ``(indptr, members)``:
+    set ``j`` is ``members[indptr[j]:indptr[j+1]]``, sorted."""
+    if model not in (IC, LT):
+        raise ValueError(f"unknown model {model!r}")
+    if roots not in ("mrr", "rr"):
+        raise ValueError(f"unknown roots mode {roots!r}")
     n_i = len(active_idx)
-    out = []
-    for j in range(count):
-        if roots == "mrr":
-            k = sample_root_size(n_i, eta_i, rng)
-        elif roots == "rr":
-            k = 1
-        else:
-            raise ValueError(f"unknown roots mode {roots!r}")
-        root_nodes = active_idx[rng.choice(n_i, size=k, replace=False)]
-        members = _reverse_bfs(payload, active, root_nodes, rng, model)
-        out.append((id_offset + j, members))
-    return out
+    if n_i == 0:
+        raise ValueError("no active nodes to sample roots from")
+    if model == LT:
+        check_lt_weights(payload["rev_indptr"], payload["rev_cum"])
+    rng = np.random.default_rng(seed)
+    if roots == "mrr":
+        ks = sample_root_sizes(n_i, eta_i, count, rng)
+    else:
+        ks = np.ones(count, dtype=np.int64)
+    n = payload["n"]
+    chunk = max(1, min(count, VISITED_BYTES // n))
+    visited = np.zeros(chunk * n, dtype=bool)
+    sizes, members = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)]
+    for lo in range(0, count, chunk):
+        k = ks[lo : lo + chunk]
+        sid, node = _draw_roots(active_idx, k, rng)
+        found = _reverse_bfs(payload, active, sid, node, len(k), rng, model, visited)
+        sid, node = np.divmod(found, n)
+        sizes.append(np.bincount(sid, minlength=len(k)))
+        members.append(node)
+    return np.cumsum(np.concatenate(sizes)), np.concatenate(members)
 
 
 def sample_sets_local(
@@ -117,11 +203,15 @@ def sample_sets_local(
     roots: str = "mrr",
     id_offset: int = 0,
 ) -> list[tuple[int, np.ndarray]]:
-    """Driver-local generation (tests and tiny rounds)."""
+    """Driver-local generation: (set_id, members) per set, as views into
+    one packed batch."""
     active_idx = np.nonzero(active)[0]
-    return _generate_batch(
-        g.payload(), active, active_idx, eta_i, model, roots, n_sets, seed, id_offset
+    indptr, members = _generate_batch(
+        g.payload(), active, active_idx, eta_i, model, roots, n_sets, seed
     )
+    return [
+        (id_offset + j, members[indptr[j] : indptr[j + 1]]) for j in range(n_sets)
+    ]
 
 
 def sample_sets_pairs(
@@ -171,22 +261,13 @@ def sample_sets_pairs(
         act_idx = np.nonzero(act)[0]
         for pdf in batches_iter:
             for row in pdf.itertuples(index=False):
-                sets = _generate_batch(
-                    payload,
-                    act,
-                    act_idx,
-                    eta_i,
-                    model,
-                    roots,
-                    int(row.n_sets),
-                    int(row.seed),
-                    int(row.id_offset),
+                count = int(row.n_sets)
+                indptr, nodes = _generate_batch(
+                    payload, act, act_idx, eta_i, model, roots, count, int(row.seed)
                 )
-                ids = np.concatenate(
-                    [np.full(len(m), sid, dtype=np.int64) for sid, m in sets]
-                )
-                nodes = np.concatenate([m for _, m in sets])
-                yield pd.DataFrame({"set_id": ids, "node": nodes})
+                ids = np.arange(int(row.id_offset), int(row.id_offset) + count)
+                set_id = np.repeat(ids, np.diff(indptr))
+                yield pd.DataFrame({"set_id": set_id, "node": nodes})
 
     _ = active_idx  # driver-side sanity: at least one active node required
     if len(active_idx) == 0:

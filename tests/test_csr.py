@@ -107,3 +107,21 @@ def test_n_inferred_when_omitted():
     edges = pd.DataFrame({"src": [0, 4], "dst": [4, 2]})
     g = GraphCSR.from_edges(edges)
     assert g.n == 5
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+def test_from_edges_rejects_bad_probabilities(bad):
+    edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+    with pytest.raises(ValueError):
+        GraphCSR.from_edges(edges, n=3, probs=np.array([0.5, bad]))
+
+
+def test_from_edges_rejects_wc_scale_above_one():
+    edges = pd.DataFrame({"src": [0], "dst": [1]})
+    with pytest.raises(ValueError):
+        GraphCSR.from_edges(edges, n=2, wc_scale=1.5)
+
+
+def test_rev_cum_is_in_edge_prefix_sum(diamond):
+    np.testing.assert_allclose(diamond.rev_cum, [0.0, 1.0, 2.0, 2.5, 3.0])
+    assert diamond.payload()["rev_cum"] is diamond.rev_cum

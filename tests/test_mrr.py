@@ -1,6 +1,9 @@
 """mRR-set sampling (paper §3.3): root-size law, Theorem 3.3 sandwich,
 RR-set truncation bias, and the distributed pairs path vs its oracle."""
+from math import comb
+
 import numpy as np
+import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
@@ -10,9 +13,11 @@ from repro.diffusion.propagate import (
     truncated,
 )
 from repro.diffusion.realization import IC, LT, sample_realization
+from repro.graphs.csr import GraphCSR
 from repro.oracle import assert_equivalent
 from repro.sampling.mrr import (
     sample_root_size,
+    sample_root_sizes,
     sample_sets_local,
     sample_sets_pairs,
 )
@@ -199,3 +204,90 @@ def test_unknown_roots_mode(small_cl_graph):
     g = small_cl_graph
     with pytest.raises(ValueError):
         sample_sets_local(g, np.ones(g.n, bool), 5, IC, 1, seed=0, roots="xyz")
+
+
+def test_root_sizes_vector_law():
+    rng = np.random.default_rng(3)
+    ks = sample_root_sizes(100, 7, 20000, rng)
+    assert set(np.unique(ks).tolist()) == {14, 15}
+    assert ks.mean() == pytest.approx(100 / 7, rel=0.01)
+    assert (sample_root_sizes(5, 9, 100, rng) == 1).all()  # clipped to ≥ 1
+
+
+@pytest.fixture(scope="module")
+def edgeless():
+    """60 isolated nodes: a sampled set is exactly its root set."""
+    return GraphCSR.from_edges(pd.DataFrame({"src": [], "dst": []}), n=60)
+
+
+# (η_i, model): k ∈ {4, 5} takes the re-draw path, k ∈ {22, 23} the
+# random-key path of the root draw.
+@pytest.mark.parametrize("eta_i,model", [(10, IC), (10, LT), (2, IC), (2, LT)])
+def test_roots_distinct_active_uniform_on_edgeless(edgeless, eta_i, model):
+    g = edgeless
+    active = np.ones(g.n, bool)
+    active[::4] = False
+    n_i = int(active.sum())  # 45
+    ratio = n_i / eta_i
+    n_sets = 20000
+    sets = sample_sets_local(g, active, eta_i, model, n_sets, seed=13)
+    ks = np.array([len(m) for _, m in sets])
+    assert set(ks.tolist()) <= {int(ratio), int(ratio) + 1}
+    assert ks.mean() == pytest.approx(ratio, rel=0.01)
+    for _, m in sets:
+        assert len(np.unique(m)) == len(m), "roots are drawn without replacement"
+        assert active[m].all()
+    freq = np.bincount(np.concatenate([m for _, m in sets]), minlength=g.n)
+    assert (freq[~active] == 0).all()
+    expected = n_sets * ratio / n_i
+    np.testing.assert_allclose(freq[active], expected, rtol=0.08)
+    # The Thm 3.3 law: Pr[R ∩ X = ∅] = E[C(n_i−x, k)/C(n_i, k)].
+    x_nodes = np.nonzero(active)[0][:5]
+    miss = np.mean([not np.isin(x_nodes, m).any() for _, m in sets])
+    p_hi = ratio - int(ratio)
+    law = sum(
+        w * comb(n_i - 5, k) / comb(n_i, k)
+        for k, w in ((int(ratio), 1 - p_hi), (int(ratio) + 1, p_hi))
+    )
+    assert miss == pytest.approx(law, abs=0.015)
+
+
+def test_rr_roots_uniform_on_edgeless(edgeless):
+    active = np.ones(edgeless.n, bool)
+    sets = sample_rr_local(edgeless, active, IC, 12000, seed=14)
+    assert all(len(m) == 1 for _, m in sets)
+    freq = np.bincount(np.concatenate([m for _, m in sets]), minlength=edgeless.n)
+    np.testing.assert_allclose(freq, 12000 / edgeless.n, rtol=0.25)
+
+
+def test_lt_sampler_rejects_in_weights_above_one():
+    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
+    g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.6, 0.6]))
+    with pytest.raises(ValueError, match="sum to"):
+        sample_sets_local(g, np.ones(3, bool), 1, LT, 5, seed=0)
+    assert len(sample_sets_local(g, np.ones(3, bool), 1, IC, 5, seed=0)) == 5
+
+
+def test_packed_views_cover_batch(small_cl_graph):
+    """Local sets are ordered, sorted views of one packed batch."""
+    g = small_cl_graph
+    sets = sample_sets_local(g, np.ones(g.n, bool), 20, LT, 300, seed=15)
+    base = sets[0][1].base
+    assert all(m.base is base for _, m in sets)
+    assert sum(len(m) for _, m in sets) == len(base)
+    assert all((np.diff(m) > 0).all() for _, m in sets)
+
+
+def test_chunked_batch_matches_its_sets(small_cl_graph, monkeypatch):
+    """A batch split over many bitmap chunks still yields valid sets."""
+    import repro.sampling.mrr as mrr
+
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[:20] = False
+    monkeypatch.setattr(mrr, "VISITED_BYTES", 7 * g.n)
+    sets = sample_sets_local(g, active, 20, IC, 100, seed=16)
+    assert [sid for sid, _ in sets] == list(range(100))
+    for _, m in sets:
+        assert len(m) >= 1 and active[m].all()
+        assert len(np.unique(m)) == len(m)

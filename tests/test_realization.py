@@ -7,9 +7,11 @@ from repro.diffusion.realization import (
     IC,
     LT,
     choose_in_edge,
+    pick_in_edges,
     sample_realization,
 )
 from repro.graphs.csr import GraphCSR
+from repro.graphs.generator import DATASETS, dataset_csr
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +131,38 @@ def test_lt_respects_partial_weights():
         if real.chosen_src[0] == -1:
             none += 1
     assert none / n_trials == pytest.approx(0.6, abs=0.05)
+
+
+@pytest.mark.parametrize("name", list(DATASETS))
+def test_vectorized_lt_pick_matches_choose_in_edge(name):
+    """``sample_realization``'s vectorized pick equals the per-node
+    ``choose_in_edge`` loop on the same uniforms."""
+    g = dataset_csr(name)
+    for seed in range(20):
+        r = np.random.default_rng(seed).random(g.n)
+        want = np.full(g.n, -1, dtype=np.int64)
+        for v in range(g.n):
+            lo, hi = g.rev_indptr[v], g.rev_indptr[v + 1]
+            j = choose_in_edge(g.rev_probs[lo:hi], r[v])
+            if j >= 0:
+                want[v] = g.rev_indices[lo + j]
+        np.testing.assert_array_equal(sample_realization(g, LT, seed).chosen_src, want)
+
+
+def test_pick_in_edges_leftover_mass_and_sources():
+    # Node 0 has in-weights (0.2, 0.3) from 1 and 2; node 1 has none.
+    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
+    g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.2, 0.3]))
+    nodes = np.array([0, 0, 0, 1])
+    r = np.array([0.1, 0.4, 0.7, 0.1])
+    got = pick_in_edges(g.rev_indptr, g.rev_indices, g.rev_cum, nodes, r)
+    np.testing.assert_array_equal(got, [1, 2, -1, -1])
+
+
+def test_lt_rejects_in_weights_above_one():
+    """Overweight in-edges are an error, not silently truncated mass."""
+    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
+    g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.7, 0.7]))
+    with pytest.raises(ValueError, match="sum to"):
+        sample_realization(g, LT, 0)
+    sample_realization(g, IC, 0)  # IC has no such constraint

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.baselines.ateuc import _greedy_coverage_curve
 from repro.core.trim import rho
 from repro.core.trim_b import greedy_max_coverage, trim_b
 from repro.diffusion.realization import IC, LT
@@ -99,3 +100,50 @@ def test_trim_b_padding_when_coverage_exhausted(line_graph):
     res = trim_b(None, g, np.ones(g.n, bool), 2, IC, eps=0.5, seed=5, b=4, use_spark=False)
     assert len(res.nodes) == 4
     assert len(set(res.nodes)) == 4
+
+
+def _greedy_oracle(sets, n, max_picks):
+    """The per-member dict-of-lists greedy the numpy core replaced."""
+    node_sets: dict[int, list[int]] = {}
+    for si, members in enumerate(sets):
+        for v in members.tolist():
+            node_sets.setdefault(v, []).append(si)
+    counts = np.zeros(n, dtype=np.int64)
+    for v, lst in node_sets.items():
+        counts[v] = len(lst)
+    covered = np.zeros(len(sets), dtype=bool)
+    picks, curve, total = [], [], 0
+    for _ in range(max_picks):
+        v = int(np.argmax(counts))
+        if counts[v] <= 0:
+            break
+        picks.append(v)
+        for si in node_sets.get(v, []):
+            if not covered[si]:
+                covered[si] = True
+                total += 1
+                for u in sets[si].tolist():
+                    counts[u] -= 1
+        counts[v] = -1
+        curve.append(total)
+    return picks, curve
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_greedy_matches_loop_oracle(seed):
+    """Same picks (lowest-id ties included) and curve as the loop greedy."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    sets = [
+        np.unique(rng.integers(0, n, size=rng.integers(0, 6)))
+        for _ in range(int(rng.integers(0, 120)))
+    ]
+    if seed % 3 == 0:  # duplicate members within a set
+        sets = [np.concatenate([m, m[:1]]) for m in sets]
+    picks, curve = _greedy_oracle(sets, n, n)
+    assert _greedy_coverage_curve(sets, n, n) == (picks, curve)
+    for b in (1, 3, 8):
+        want = _greedy_oracle(sets, n, min(b, n))
+        assert greedy_max_coverage(sets, n, b) == (
+            want[0], want[1][-1] if want[1] else 0
+        )
