@@ -21,9 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core.trim import on_spark
 from repro.core.trim_b import greedy_picks
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_upper_bound
+from repro.sampling.mrr import pairs_to_sets
+from repro.sampling.rr import sample_rr_local, sample_rr_pairs
 
 # See the comment at the S_u rule below.
 SAFETY_MARGIN = 1.15
@@ -60,7 +63,6 @@ def ateuc(
     seed: int = 0,
     theta0: int = 256,
     max_doublings: int = 12,
-    use_spark: bool = True,
 ) -> AteucResult:
     """Select a non-adaptive seed set with estimated E[I(S)] ≥ η."""
     if not 1 <= eta <= g.n:
@@ -75,9 +77,7 @@ def ateuc(
         need = theta - len(sets)
         if need > 0:
             sets.extend(
-                _rr_sets(
-                    spark, g, active, model, need, seed + 15485863 * t, len(sets), use_spark
-                )
+                _rr_sets(spark, g, active, model, need, seed + 15485863 * t, len(sets))
             )
         picks, curve = _greedy_coverage_curve(sets, n, max_picks=n)
         su = sl = None
@@ -126,14 +126,10 @@ def ateuc(
     )
 
 
-def _rr_sets(spark, g, active, model, need, seed, id_offset, use_spark):
+def _rr_sets(spark, g, active, model, need, seed, id_offset):
     """Single-root RR sets, Spark-fanned when the batch is large."""
-    from repro.core.trim import SPARK_MIN_SETS
-    from repro.sampling.rr import sample_rr_local, sample_rr_pairs
-
-    if use_spark and spark is not None and need >= SPARK_MIN_SETS:
-        pairs = sample_rr_pairs(
-            spark, g, active, model, need, seed, id_offset=id_offset
-        ).toPandas()
-        return [grp.to_numpy(np.int64) for _, grp in pairs.groupby("set_id")["node"]]
+    if on_spark(spark, need):
+        return pairs_to_sets(
+            sample_rr_pairs(spark, g, active, model, need, seed, id_offset=id_offset)
+        )
     return [m for _, m in sample_rr_local(g, active, model, need, seed, id_offset=id_offset)]

@@ -59,8 +59,8 @@ def _default_selector(b: int) -> Selector:
     def select(spark, g, active, eta_i, model, eps, seed):
         if b == 1:
             res = trim(spark, g, active, eta_i, model, eps, seed)
-            return [res.node], res.n_sets
-        res = trim_b(spark, g, active, eta_i, model, eps, seed, b)
+        else:
+            res = trim_b(spark, g, active, eta_i, model, eps, seed, b)
         return res.nodes, res.n_sets
 
     return select

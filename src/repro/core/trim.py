@@ -5,11 +5,16 @@ Selects the single node with (approximately) maximum expected marginal
 OPIM-C-style doubling schedule and the Lemma A.2 stopping rule. Returns
 a (1−1/e)(1−ε)-approximate node.
 
+TRIM is TRIM-B (Algorithm 3) at b = 1, so ``doubling_round`` runs both;
+each supplies only the step that grows its sample and picks nodes.
+``on_spark`` is the one venue rule of every sampling dispatcher.
+
 The same machinery, switched to single-root RR sets and the ``n_i``
 estimator scale, implements ADAPTIM's per-round selection (baselines/).
 """
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pyspark.sql.functions as F
@@ -27,6 +32,11 @@ from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
 # only pays past a few hundred thousand sets; the constant stays until the
 # venue rule becomes a measured cost model.
 SPARK_MIN_SETS = 4096
+
+
+def on_spark(spark: SparkSession | None, need: int) -> bool:
+    """The venue rule: sample ``need`` sets on executors, not locally."""
+    return spark is not None and need >= SPARK_MIN_SETS
 
 
 def ln_choose(n: int, b: int) -> float:
@@ -87,13 +97,57 @@ class TrimSchedule:
 
 @dataclass
 class TrimResult:
-    """Outcome of one TRIM round."""
+    """Outcome of one TRIM / TRIM-B round."""
 
-    node: int
+    nodes: list[int]
     coverage: int
     n_sets: int
     iterations: int
-    est_truncated_spread: float  # η_i · Λ_R(v*)/|R|
+    est_truncated_spread: float  # η_i · Λ_R(S)/|R|
+
+
+def doubling_round(
+    active: np.ndarray,
+    eta_i: int,
+    eps: float,
+    seed: int,
+    b: int,
+    grow_and_pick: Callable[[int, int, int, int], tuple[list[int], int]],
+    *,
+    delta: float | None = None,
+) -> TrimResult:
+    """One round of Algorithm 3 (Algorithm 2 at b = 1) on the residual
+    graph given by ``active``: double the sample until
+    Λ^l / Λ^u ≥ ρ_b(1−ε̂) (ρ₁ = 1) or t = T.
+
+    ``grow_and_pick(eta_i, b, need, seed)`` adds ``need`` sets sampled
+    with ``seed`` to the caller's sample and returns its best size-b batch
+    and that batch's coverage Λ. It gets η_i and b capped at the residual
+    size n_i.
+    """
+    n_i = int(active.sum())
+    if n_i == 0:
+        raise ValueError("empty residual graph")
+    eta_i = min(eta_i, n_i)
+    b = min(b, n_i)
+    sched = TrimSchedule.build(n_i, eta_i, eps, b=b, delta=delta)
+    rb = rho(b)
+    n_sets = 0
+    for t in range(1, sched.T + 1):
+        target = sched.theta_o * (2 ** (t - 1))
+        nodes, lam = grow_and_pick(eta_i, b, target - n_sets, seed + 104729 * t)
+        n_sets = target
+        lam_l = coverage_lower_bound(lam, sched.a1)
+        lam_u = coverage_upper_bound(lam / rb, sched.a2)
+        if (lam_u > 0 and lam_l / lam_u >= rb * (1.0 - sched.eps_hat)) or t == sched.T:
+            return TrimResult(
+                nodes=nodes,
+                coverage=lam,
+                n_sets=n_sets,
+                iterations=t,
+                est_truncated_spread=eta_i * lam / n_sets,
+            )
+    raise AssertionError("unreachable: loop returns at t == T")
 
 
 def _coverage_increment(
@@ -105,10 +159,9 @@ def _coverage_increment(
     need: int,
     seed: int,
     roots: str,
-    use_spark: bool,
 ) -> np.ndarray:
     """Coverage-count vector over nodes for ``need`` freshly sampled sets."""
-    if use_spark and spark is not None and need >= SPARK_MIN_SETS:
+    if on_spark(spark, need):
         pairs = sample_sets_pairs(
             spark, g, active, eta_i, model, need, seed, roots=roots
         )
@@ -132,39 +185,19 @@ def trim(
     *,
     roots: str = "mrr",
     delta: float | None = None,
-    use_spark: bool = True,
 ) -> TrimResult:
     """One round of Algorithm 2 on the residual graph given by ``active``.
 
+    The sample is a running coverage vector and the pick its argmax.
     ``roots="rr"`` with an explicit ``delta`` turns this into ADAPTIM's
     per-round untruncated selection (coverage logic is identical; only
     the sampler and the estimator scale differ — handled by callers).
     """
-    n_i = int(active.sum())
-    if n_i == 0:
-        raise ValueError("empty residual graph")
-    eta_i = min(eta_i, n_i)
-    sched = TrimSchedule.build(n_i, eta_i, eps, b=1, delta=delta)
     cov = np.zeros(g.n, dtype=np.int64)
-    n_sets = 0
-    for t in range(1, sched.T + 1):
-        target = sched.theta_o * (2 ** (t - 1))
-        need = target - n_sets
-        if need > 0:
-            cov += _coverage_increment(
-                spark, g, active, eta_i, model, need, seed + 104729 * t, roots, use_spark
-            )
-            n_sets = target
+
+    def grow_and_pick(eta_i: int, b: int, need: int, seed: int) -> tuple[list[int], int]:
+        cov[:] += _coverage_increment(spark, g, active, eta_i, model, need, seed, roots)
         v_star = int(np.argmax(cov))
-        lam = int(cov[v_star])
-        lam_l = coverage_lower_bound(lam, sched.a1)
-        lam_u = coverage_upper_bound(lam, sched.a2)
-        if lam_u > 0 and lam_l / lam_u >= 1.0 - sched.eps_hat or t == sched.T:
-            return TrimResult(
-                node=v_star,
-                coverage=lam,
-                n_sets=n_sets,
-                iterations=t,
-                est_truncated_spread=eta_i * lam / n_sets,
-            )
-    raise AssertionError("unreachable: loop returns at t == T")
+        return [v_star], int(cov[v_star])
+
+    return doubling_round(active, eta_i, eps, seed, 1, grow_and_pick, delta=delta)

@@ -4,16 +4,14 @@ Selects a size-b seed batch per round via greedy max coverage over mRR
 sets, with the generalized schedule (ln C(n_i, b), θ scaled by b, upper
 bound divided by ρ_b, stop threshold ρ_b(1−ε̂)). Approximation
 ρ_b(1−1/e)(1−ε); b = 1 degenerates to TRIM.
+Its doubling-and-stop loop is ``core.trim.doubling_round``.
 """
-from dataclasses import dataclass
-
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.graphs.csr import GraphCSR
-from repro.core.trim import SPARK_MIN_SETS, TrimSchedule, rho
-from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
-from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
+from repro.core.trim import TrimResult, doubling_round, on_spark
+from repro.sampling.mrr import pairs_to_sets, sample_sets_local, sample_sets_pairs
 
 
 def greedy_picks(
@@ -80,30 +78,33 @@ def _collect_sets(
     need: int,
     seed: int,
     id_offset: int,
-    use_spark: bool,
 ) -> list[np.ndarray]:
     """Sample ``need`` mRR sets and materialize their member arrays."""
-    if use_spark and spark is not None and need >= SPARK_MIN_SETS:
-        pairs = sample_sets_pairs(
-            spark, g, active, eta_i, model, need, seed, id_offset=id_offset
-        ).toPandas()
-        grouped = pairs.groupby("set_id")["node"]
-        return [grp.to_numpy(np.int64) for _, grp in grouped]
+    if on_spark(spark, need):
+        return pairs_to_sets(
+            sample_sets_pairs(
+                spark, g, active, eta_i, model, need, seed, id_offset=id_offset
+            )
+        )
     sets = sample_sets_local(
         g, active, eta_i, model, need, seed, id_offset=id_offset
     )
     return [members for _, members in sets]
 
 
-@dataclass
-class TrimBResult:
-    """Outcome of one TRIM-B round."""
-
-    nodes: list[int]
-    coverage: int
-    n_sets: int
-    iterations: int
-    est_truncated_spread: float  # η_i · Λ_R(S_b)/|R|
+def _pad_batch(
+    g: GraphCSR, active: np.ndarray, chosen: list[int], b: int
+) -> list[int]:
+    """``chosen`` filled up to ``b`` nodes when greedy ran out of coverable
+    sets: the unpicked active nodes with the most out-edges into active
+    nodes (residual out-degree), lowest id on ties."""
+    if len(chosen) >= b:
+        return chosen
+    src = np.repeat(np.arange(g.n), np.diff(g.fwd_indptr))
+    residual_outdeg = np.bincount(src[active[g.fwd_indices]], minlength=g.n)
+    cand = np.setdiff1d(np.flatnonzero(active), chosen)
+    order = cand[np.argsort(-residual_outdeg[cand], kind="stable")]
+    return chosen + order[: b - len(chosen)].tolist()
 
 
 def trim_b(
@@ -115,53 +116,19 @@ def trim_b(
     eps: float,
     seed: int,
     b: int,
-    *,
-    use_spark: bool = True,
-) -> TrimBResult:
-    """One round of Algorithm 3 on the residual graph given by ``active``."""
-    n_i = int(active.sum())
-    if n_i == 0:
-        raise ValueError("empty residual graph")
-    eta_i = min(eta_i, n_i)
-    b_eff = min(b, n_i)
-    sched = TrimSchedule.build(n_i, eta_i, eps, b=b_eff)
-    rb = rho(b_eff)
+) -> TrimResult:
+    """One round of Algorithm 3 on the residual graph given by ``active``.
+
+    The sample is the pooled list of mRR sets and the pick a greedy
+    max-coverage batch, padded to b nodes if greedy stops short.
+    """
     sets: list[np.ndarray] = []
-    for t in range(1, sched.T + 1):
-        target = sched.theta_o * (2 ** (t - 1))
-        need = target - len(sets)
-        if need > 0:
-            sets.extend(
-                _collect_sets(
-                    spark,
-                    g,
-                    active,
-                    eta_i,
-                    model,
-                    need,
-                    seed + 104729 * t,
-                    id_offset=len(sets),
-                    use_spark=use_spark,
-                )
-            )
-        chosen, lam = greedy_max_coverage(sets, g.n, b_eff)
-        lam_l = coverage_lower_bound(lam, sched.a1)
-        lam_u = coverage_upper_bound(lam / rb, sched.a2)
-        if (lam_u > 0 and lam_l / lam_u >= rb * (1.0 - sched.eps_hat)) or t == sched.T:
-            # Pad with highest-degree unpicked active nodes if greedy ran
-            # out of coverable sets before filling the batch.
-            if len(chosen) < b_eff:
-                order = np.argsort(-g.outdeg)
-                for v in order.tolist():
-                    if active[v] and v not in chosen:
-                        chosen.append(int(v))
-                        if len(chosen) == b_eff:
-                            break
-            return TrimBResult(
-                nodes=chosen,
-                coverage=lam,
-                n_sets=len(sets),
-                iterations=t,
-                est_truncated_spread=eta_i * lam / len(sets),
-            )
-    raise AssertionError("unreachable: loop returns at t == T")
+
+    def grow_and_pick(eta_i: int, b: int, need: int, seed: int) -> tuple[list[int], int]:
+        sets.extend(
+            _collect_sets(spark, g, active, eta_i, model, need, seed, len(sets))
+        )
+        chosen, lam = greedy_max_coverage(sets, g.n, b)
+        return _pad_batch(g, active, chosen, b), lam
+
+    return doubling_round(active, eta_i, eps, seed, b, grow_and_pick)

@@ -100,23 +100,10 @@ def exact_expected_spread(g, seeds, model: str = IC) -> float:
     """E[I(S)] by enumerating all 2^m realizations (tiny graphs only).
 
     Used as a test oracle for sampler unbiasedness and the paper's
-    Example 2.3. IC only; m must be small (≤ ~16).
+    Example 2.3. IC only; m must be small (≤ ~16). Since I(S) ≤ n, this
+    is the truncated expectation at η = n.
     """
-    from itertools import product
-
-    from repro.diffusion.realization import Realization
-
-    if model != IC:
-        raise ValueError("exact enumeration implemented for IC only")
-    if g.m > 16:
-        raise ValueError("graph too large for exact enumeration")
-    total = 0.0
-    for bits in product([False, True], repeat=g.m):
-        live = np.array(bits, dtype=bool)
-        p = np.prod(np.where(live, g.fwd_probs, 1.0 - g.fwd_probs))
-        real = Realization(graph=g, model=IC, live_fwd=live, chosen_src=None)
-        total += p * len(spread_local(real, seeds))
-    return float(total)
+    return exact_expected_truncated(g, seeds, g.n, model)
 
 
 def exact_expected_truncated(g, seeds, eta: int, model: str = IC) -> float:

@@ -234,12 +234,13 @@ def sample_sets_pairs(
     ``id_offset`` per call, so unions across doubling iterations are
     well-defined.
     """
+    if not active.any():
+        raise ValueError("no active nodes to sample roots from")
     if batches is None:
         batches = max(1, min(n_sets, 2 * spark.sparkContext.defaultParallelism))
     bc = g.broadcast(spark)
     active_bytes = np.packbits(active)
     n = g.n
-    active_idx = np.nonzero(active)[0]
     sizes = np.full(batches, n_sets // batches, dtype=np.int64)
     sizes[: n_sets % batches] += 1
     sizes = sizes[sizes > 0]
@@ -269,7 +270,10 @@ def sample_sets_pairs(
                 set_id = np.repeat(ids, np.diff(indptr))
                 yield pd.DataFrame({"set_id": set_id, "node": nodes})
 
-    _ = active_idx  # driver-side sanity: at least one active node required
-    if len(active_idx) == 0:
-        raise ValueError("no active nodes to sample roots from")
     return tasks_df.mapInPandas(gen, schema=PAIRS_SCHEMA)
+
+
+def pairs_to_sets(pairs: DataFrame) -> list[np.ndarray]:
+    """Member arrays, in set-id order, of a ``(set_id, node)`` pairs frame."""
+    grouped = pairs.toPandas().groupby("set_id")["node"]
+    return [grp.to_numpy(np.int64) for _, grp in grouped]

@@ -12,7 +12,7 @@ from repro.diffusion.realization import IC, LT, sample_realization
 @pytest.mark.parametrize("model", [IC, LT])
 def test_ateuc_returns_plausible_set(small_cl_graph, model):
     g = small_cl_graph
-    res = ateuc(None, g, 30, model, seed=1, use_spark=False)
+    res = ateuc(None, g, 30, model, seed=1)
     assert res.n_seeds >= 1
     assert len(set(res.seeds)) == res.n_seeds
     assert all(0 <= v < g.n for v in res.seeds)
@@ -21,15 +21,15 @@ def test_ateuc_returns_plausible_set(small_cl_graph, model):
 
 def test_ateuc_deterministic(small_cl_graph):
     g = small_cl_graph
-    a = ateuc(None, g, 25, IC, seed=2, use_spark=False)
-    b = ateuc(None, g, 25, IC, seed=2, use_spark=False)
+    a = ateuc(None, g, 25, IC, seed=2)
+    b = ateuc(None, g, 25, IC, seed=2)
     assert a.seeds == b.seeds
 
 
 def test_ateuc_seed_count_monotone_in_eta(small_cl_graph):
     g = small_cl_graph
-    lo = ateuc(None, g, 15, IC, seed=3, use_spark=False)
-    hi = ateuc(None, g, 60, IC, seed=3, use_spark=False)
+    lo = ateuc(None, g, 15, IC, seed=3)
+    hi = ateuc(None, g, 60, IC, seed=3)
     assert hi.n_seeds >= lo.n_seeds
 
 
@@ -38,7 +38,7 @@ def test_ateuc_nonadaptive_can_miss_threshold(small_cl_graph):
     some realizations — the source of Table 3's N/A entries."""
     g = small_cl_graph
     eta = 20
-    res = ateuc(None, g, eta, IC, seed=4, use_spark=False)
+    res = ateuc(None, g, eta, IC, seed=4)
     spreads = [
         len(spread_local(sample_realization(g, IC, s), res.seeds))
         for s in range(40)
@@ -50,7 +50,7 @@ def test_ateuc_nonadaptive_can_miss_threshold(small_cl_graph):
 
 def test_ateuc_candidate_invariant(small_cl_graph):
     g = small_cl_graph
-    res = ateuc(None, g, 30, IC, seed=5, use_spark=False)
+    res = ateuc(None, g, 30, IC, seed=5)
     assert res.sl_size <= res.n_seeds
 
 

@@ -1,8 +1,9 @@
 """Distributed-path integration: Spark fan-out inside TRIM/TRIM-B/ASTI.
 
 The production threshold only engages executors for large batches; here
-we force the Spark branch (monkeypatched threshold) and assert it makes
-the same kind of decisions as the local branch.
+we force the Spark branch (monkeypatched threshold of the one venue rule,
+``trim.on_spark``) and assert it makes the same kind of decisions as the
+local branch.
 """
 import importlib
 
@@ -11,26 +12,25 @@ import pytest
 
 # repro.core/__init__ re-exports functions named like the submodules, so
 # plain attribute imports would resolve to the functions; go via
-# importlib to get the modules for monkeypatching.
+# importlib to get the module for monkeypatching.
 trim_mod = importlib.import_module("repro.core.trim")
-trim_b_mod = importlib.import_module("repro.core.trim_b")
+from repro.baselines.ateuc import ateuc
 from repro.core.asti import asti
 from repro.core.trim import trim
 from repro.core.trim_b import trim_b
 from repro.diffusion.realization import IC
-from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
+from repro.sampling.mrr import pairs_to_sets, sample_sets_local, sample_sets_pairs
 
 
 @pytest.fixture()
 def force_spark(monkeypatch):
     monkeypatch.setattr(trim_mod, "SPARK_MIN_SETS", 1)
-    monkeypatch.setattr(trim_b_mod, "SPARK_MIN_SETS", 1)
 
 
 def test_trim_spark_branch(spark, small_cl_graph, force_spark):
     g = small_cl_graph
     res = trim(spark, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=1)
-    assert 0 <= res.node < g.n
+    assert 0 <= res.nodes[0] < g.n
     assert res.n_sets > 0
 
 
@@ -38,6 +38,27 @@ def test_trim_b_spark_branch(spark, small_cl_graph, force_spark):
     g = small_cl_graph
     res = trim_b(spark, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=2, b=3)
     assert len(res.nodes) == 3
+
+
+def test_ateuc_spark_branch(spark, small_cl_graph, force_spark):
+    g = small_cl_graph
+    res = ateuc(spark, g, 30, IC, seed=1, max_doublings=3)
+    assert res.n_sets > 0
+    assert 1 <= res.n_seeds == len(set(res.seeds))
+
+
+def test_pairs_to_sets_matches_local_batch(spark, small_cl_graph):
+    """One Spark task with the same seed draws the local batch; the pairs
+    frame comes back as the same member arrays in set order."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[:20] = False
+    local = sample_sets_local(g, active, 15, IC, 60, seed=8)
+    pairs = sample_sets_pairs(spark, g, active, 15, IC, 60, seed=8, batches=1)
+    got = pairs_to_sets(pairs)
+    assert len(got) == len(local)
+    for m, (_, want) in zip(got, local):
+        assert np.array_equal(m, want)
 
 
 def test_asti_with_spark_fanout(spark, small_cl_graph, force_spark):
@@ -69,9 +90,9 @@ def test_spark_and_local_sampling_statistically_agree(spark, small_cl_graph):
 def test_trim_spark_decision_matches_local_quality(spark, small_cl_graph, force_spark):
     g = small_cl_graph
     res_spark = trim(spark, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5)
-    res_local = trim(None, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5, use_spark=False)
+    res_local = trim(None, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5)
     # Both pick a top hub (same graph, same schedule); accept any node
     # whose out-degree is within the top decile to absorb sampling noise.
     cutoff = np.quantile(g.outdeg, 0.9)
-    assert g.outdeg[res_spark.node] >= cutoff
-    assert g.outdeg[res_local.node] >= cutoff
+    assert g.outdeg[res_spark.nodes[0]] >= cutoff
+    assert g.outdeg[res_local.nodes[0]] >= cutoff

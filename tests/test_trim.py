@@ -73,13 +73,13 @@ def test_trim_guarantee_on_ex23(ex23_graph, seed):
     first (its Δ = 1.75 is within (1−1/e)(1−ε) of the optimum 2), but
     v4 (Δ = 1) violates the ε=0.1 guarantee and must never be chosen."""
     active = np.ones(4, bool)
-    res = trim(None, ex23_graph, active, 2, IC, eps=0.1, seed=seed, use_spark=False)
-    assert res.node in (0, 1, 2)
+    res = trim(None, ex23_graph, active, 2, IC, eps=0.1, seed=seed)
+    assert res.nodes[0] in (0, 1, 2)
 
 
 def test_trim_estimate_in_theorem_band(ex23_graph):
-    res = trim(None, ex23_graph, np.ones(4, bool), 2, IC, eps=0.2, seed=7, use_spark=False)
-    exact = exact_expected_truncated(ex23_graph, [res.node], 2)
+    res = trim(None, ex23_graph, np.ones(4, bool), 2, IC, eps=0.2, seed=7)
+    exact = exact_expected_truncated(ex23_graph, [res.nodes[0]], 2)
     assert res.est_truncated_spread <= exact * 1.15
     assert res.est_truncated_spread >= (1 - 1 / math.e) * exact * 0.8
 
@@ -89,13 +89,13 @@ def test_trim_respects_active_mask(small_cl_graph, model):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[: g.n // 2] = False
-    res = trim(None, g, active, 10, model, eps=0.5, seed=1, use_spark=False)
-    assert active[res.node]
+    res = trim(None, g, active, 10, model, eps=0.5, seed=1)
+    assert active[res.nodes[0]]
 
 
 def test_trim_result_bookkeeping(small_cl_graph):
     g = small_cl_graph
-    res = trim(None, g, np.ones(g.n, bool), 10, IC, eps=0.5, seed=2, use_spark=False)
+    res = trim(None, g, np.ones(g.n, bool), 10, IC, eps=0.5, seed=2)
     assert 1 <= res.iterations
     assert res.n_sets >= TrimSchedule.build(g.n, 10, 0.5).theta_o
     assert 0 <= res.coverage <= res.n_sets
@@ -107,8 +107,8 @@ def test_trim_eta_capped_at_n_i(small_cl_graph):
     active = np.zeros(g.n, bool)
     active[:10] = True
     # eta_i larger than the residual size must not crash (k capping).
-    res = trim(None, g, active, 50, IC, eps=0.5, seed=3, use_spark=False)
-    assert active[res.node]
+    res = trim(None, g, active, 50, IC, eps=0.5, seed=3)
+    assert active[res.nodes[0]]
 
 
 def test_trim_empty_residual_raises(small_cl_graph):
@@ -124,7 +124,7 @@ def test_trim_selection_near_optimal_quality(small_cl_graph):
 
     g = small_cl_graph
     eta = 10
-    res = trim(None, g, np.ones(g.n, bool), eta, IC, eps=0.3, seed=5, use_spark=False)
+    res = trim(None, g, np.ones(g.n, bool), eta, IC, eps=0.3, seed=5)
 
     def mc_delta(v, trials=400):
         tot = 0
@@ -134,7 +134,7 @@ def test_trim_selection_near_optimal_quality(small_cl_graph):
         return tot / trials
 
     # Ground truth best over out-degree-ranked candidates (covers the hubs).
-    cands = np.argsort(-g.outdeg)[:15].tolist() + [res.node]
+    cands = np.argsort(-g.outdeg)[:15].tolist() + [res.nodes[0]]
     best = max(mc_delta(v) for v in set(cands))
     # (1-1/e)(1-0.3) ≈ 0.44; allow MC slack.
-    assert mc_delta(res.node) >= 0.4 * best
+    assert mc_delta(res.nodes[0]) >= 0.4 * best

@@ -2,12 +2,14 @@
 from itertools import combinations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.ateuc import _greedy_coverage_curve
 from repro.core.trim import rho
 from repro.core.trim_b import greedy_max_coverage, trim_b
 from repro.diffusion.realization import IC, LT
+from repro.graphs.csr import GraphCSR
 
 
 def _brute_force_best(sets, n, b):
@@ -59,7 +61,7 @@ def test_trim_b_returns_b_active_nodes(small_cl_graph, b, model):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[:30] = False
-    res = trim_b(None, g, active, 20, model, eps=0.5, seed=1, b=b, use_spark=False)
+    res = trim_b(None, g, active, 20, model, eps=0.5, seed=1, b=b)
     assert len(res.nodes) == b
     assert len(set(res.nodes)) == b
     assert all(active[v] for v in res.nodes)
@@ -67,13 +69,13 @@ def test_trim_b_returns_b_active_nodes(small_cl_graph, b, model):
 
 def test_trim_b_b1_matches_trim_choice_on_ex23(ex23_graph):
     # Same admissible set as TRIM (see test_trim_guarantee_on_ex23).
-    res = trim_b(None, ex23_graph, np.ones(4, bool), 2, IC, eps=0.1, seed=2, b=1, use_spark=False)
+    res = trim_b(None, ex23_graph, np.ones(4, bool), 2, IC, eps=0.1, seed=2, b=1)
     assert res.nodes[0] in (0, 1, 2)
 
 
 def test_trim_b_bookkeeping(small_cl_graph):
     g = small_cl_graph
-    res = trim_b(None, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=3, b=4, use_spark=False)
+    res = trim_b(None, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=3, b=4)
     assert res.n_sets > 0 and res.iterations >= 1
     assert 0 <= res.coverage <= res.n_sets
     assert res.est_truncated_spread == pytest.approx(15 * res.coverage / res.n_sets)
@@ -83,7 +85,7 @@ def test_trim_b_caps_batch_at_residual_size(small_cl_graph):
     g = small_cl_graph
     active = np.zeros(g.n, bool)
     active[:3] = True
-    res = trim_b(None, g, active, 3, IC, eps=0.5, seed=4, b=8, use_spark=False)
+    res = trim_b(None, g, active, 3, IC, eps=0.5, seed=4, b=8)
     assert len(res.nodes) == 3
     assert all(active[v] for v in res.nodes)
 
@@ -95,11 +97,26 @@ def test_trim_b_empty_residual_raises(small_cl_graph):
 
 def test_trim_b_padding_when_coverage_exhausted(line_graph):
     """On a tiny graph where few nodes cover everything, the batch is
-    padded with high-out-degree active nodes rather than short-changed."""
+    padded with other active nodes rather than short-changed."""
     g = line_graph
-    res = trim_b(None, g, np.ones(g.n, bool), 2, IC, eps=0.5, seed=5, b=4, use_spark=False)
+    res = trim_b(None, g, np.ones(g.n, bool), 2, IC, eps=0.5, seed=5, b=4)
     assert len(res.nodes) == 4
     assert len(set(res.nodes)) == 4
+
+
+def test_trim_b_pads_by_residual_out_degree():
+    """Hub 1's out-edges all lead to activated nodes, so it ranks below
+    node 6 (one out-edge into the residual graph) when padding.
+
+    With η_i = 1 every mRR set holds all four active nodes as roots, so
+    greedy picks node 0 (lowest id) and stops after one pick.
+    """
+    edges = pd.DataFrame({"src": [1, 1, 1, 1, 6], "dst": [2, 3, 4, 5, 7]})
+    g = GraphCSR.from_edges(edges, n=8, probs=np.ones(5))
+    active = np.zeros(g.n, bool)
+    active[[0, 1, 6, 7]] = True
+    res = trim_b(None, g, active, 1, IC, eps=0.5, seed=6, b=2)
+    assert res.nodes == [0, 6]
 
 
 def _greedy_oracle(sets, n, max_picks):
