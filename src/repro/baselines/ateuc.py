@@ -77,7 +77,7 @@ def ateuc(
         need = theta - len(sets)
         if need > 0:
             sets.extend(
-                _rr_sets(spark, g, active, model, need, seed + 15485863 * t, len(sets))
+                _rr_sets(spark, g, active, model, need, seed + 15485863 * t)
             )
         picks, curve = _greedy_coverage_curve(sets, n, max_picks=n)
         su = sl = None
@@ -126,10 +126,10 @@ def ateuc(
     )
 
 
-def _rr_sets(spark, g, active, model, need, seed, id_offset):
+def _rr_sets(spark, g, active, model, need, seed):
     """Single-root RR sets, Spark-fanned when the batch is large."""
     if on_spark(spark, need):
-        return pairs_to_sets(
-            sample_rr_pairs(spark, g, active, model, need, seed, id_offset=id_offset)
-        )
-    return [m for _, m in sample_rr_local(g, active, model, need, seed, id_offset=id_offset)]
+        sets = pairs_to_sets(sample_rr_pairs(spark, g, active, model, need, seed))
+    else:
+        sets = sample_rr_local(g, active, model, need, seed)
+    return [m for _, m in sets]

@@ -17,20 +17,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
 
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
-from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
+from repro.sampling.mrr import pairs_to_sets, sample_sets_local, sample_sets_pairs
 
 # Below this many sets, executor fan-out costs more than it saves; the
 # schedule still matches the paper, only the execution venue changes.
-# A pairs job plus groupBy and collect costs ~1.5 s at lite scale, while
-# the batched local kernel takes ~5 µs per mRR set and ~2 µs per RR set
-# (4 vCPUs, η/n = 0.2), i.e. ~20 ms for 4096 sets. So at lite scale Spark
-# only pays past a few hundred thousand sets; the constant stays until the
-# venue rule becomes a measured cost model.
+# A one-stage sampling job plus its Arrow collect costs 0.8–1.3 s at lite
+# scale for 4k–32k sets, while the batched local kernel takes 6–9 µs per
+# mRR set and ~3 µs per RR set (4 vCPUs, local[4], nethept/epinions lite),
+# i.e. 15–40 ms for 4096 sets. So at lite scale Spark only pays past a few
+# hundred thousand sets; the constant stays until the venue rule becomes a
+# measured cost model.
 SPARK_MIN_SETS = 4096
 
 
@@ -162,15 +162,11 @@ def _coverage_increment(
 ) -> np.ndarray:
     """Coverage-count vector over nodes for ``need`` freshly sampled sets."""
     if on_spark(spark, need):
-        pairs = sample_sets_pairs(
-            spark, g, active, eta_i, model, need, seed, roots=roots
+        sets = pairs_to_sets(
+            sample_sets_pairs(spark, g, active, eta_i, model, need, seed, roots=roots)
         )
-        rows = pairs.groupBy("node").agg(F.count("*").alias("cov")).collect()
-        inc = np.zeros(g.n, dtype=np.int64)
-        for r in rows:
-            inc[r["node"]] = r["cov"]
-        return inc
-    sets = sample_sets_local(g, active, eta_i, model, need, seed, roots=roots)
+    else:
+        sets = sample_sets_local(g, active, eta_i, model, need, seed, roots=roots)
     return np.bincount(np.concatenate([m for _, m in sets]), minlength=g.n)
 
 

@@ -77,18 +77,12 @@ def _collect_sets(
     model: str,
     need: int,
     seed: int,
-    id_offset: int,
 ) -> list[np.ndarray]:
     """Sample ``need`` mRR sets and materialize their member arrays."""
     if on_spark(spark, need):
-        return pairs_to_sets(
-            sample_sets_pairs(
-                spark, g, active, eta_i, model, need, seed, id_offset=id_offset
-            )
-        )
-    sets = sample_sets_local(
-        g, active, eta_i, model, need, seed, id_offset=id_offset
-    )
+        sets = pairs_to_sets(sample_sets_pairs(spark, g, active, eta_i, model, need, seed))
+    else:
+        sets = sample_sets_local(g, active, eta_i, model, need, seed)
     return [members for _, members in sets]
 
 
@@ -125,9 +119,7 @@ def trim_b(
     sets: list[np.ndarray] = []
 
     def grow_and_pick(eta_i: int, b: int, need: int, seed: int) -> tuple[list[int], int]:
-        sets.extend(
-            _collect_sets(spark, g, active, eta_i, model, need, seed, len(sets))
-        )
+        sets.extend(_collect_sets(spark, g, active, eta_i, model, need, seed))
         chosen, lam = greedy_max_coverage(sets, g.n, b)
         return _pad_batch(g, active, chosen, b), lam
 

@@ -46,7 +46,8 @@ class GraphCSR:
     rev_cum: np.ndarray
     indeg: np.ndarray
     outdeg: np.ndarray
-    _bc: dict = field(default_factory=dict, repr=False)
+    # (SparkContext, Broadcast) of the last broadcast.
+    _bc: tuple | None = field(default=None, repr=False)
 
     @staticmethod
     def from_edges(
@@ -126,22 +127,22 @@ class GraphCSR:
         return self.rev_indices[self.rev_indptr[v] : self.rev_indptr[v + 1]]
 
     def payload(self) -> dict:
-        """The plain-numpy dict that gets broadcast to executors."""
+        """The plain-numpy dict that gets broadcast to executors: what the
+        reverse sampler reads, the in-adjacency and its probabilities."""
         return {
             "n": self.n,
             "rev_indptr": self.rev_indptr,
             "rev_indices": self.rev_indices,
             "rev_probs": self.rev_probs,
             "rev_cum": self.rev_cum,
-            "fwd_indptr": self.fwd_indptr,
-            "fwd_indices": self.fwd_indices,
-            "fwd_probs": self.fwd_probs,
-            "indeg": self.indeg,
         }
 
     def broadcast(self, spark: SparkSession):
-        """Broadcast the CSR payload once per SparkSession and cache it."""
-        key = id(spark)
-        if key not in self._bc:
-            self._bc[key] = spark.sparkContext.broadcast(self.payload())
-        return self._bc[key]
+        """Broadcast the CSR payload once per SparkContext and cache it.
+
+        Sessions on one context share the broadcast; a new context (the
+        old one stopped) gets a fresh one, never the dead one."""
+        sc = spark.sparkContext
+        if self._bc is None or self._bc[0] is not sc:
+            self._bc = (sc, sc.broadcast(self.payload()))
+        return self._bc[1]

@@ -19,10 +19,12 @@ as ``(indptr, members)``.
 Single-root RR sets for the baselines are the ``roots="rr"`` mode of the
 same machinery.
 
-The distributed path (``sample_sets_pairs``) fans a task DataFrame out
-with ``mapInPandas`` over a broadcast CSR payload and returns
-``(set_id, node)`` membership rows; coverage counting is then a plain
-``groupBy(node).count()`` — see core/trim.py.
+The distributed path (``sample_sets_pairs``) runs the same kernel in one
+Spark stage: ``mapInPandas`` over ``spark.range``, one task per batch,
+each traversing a broadcast CSR payload and emitting ``(set_id, node)``
+membership rows. ``pairs_to_sets`` collects such a frame into the
+``(set_id, members)`` list that ``sample_sets_local`` returns, so callers
+see one shape whichever venue drew the sets.
 """
 from typing import Iterator
 
@@ -201,7 +203,6 @@ def sample_sets_local(
     seed: int,
     *,
     roots: str = "mrr",
-    id_offset: int = 0,
 ) -> list[tuple[int, np.ndarray]]:
     """Driver-local generation: (set_id, members) per set, as views into
     one packed batch."""
@@ -209,9 +210,7 @@ def sample_sets_local(
     indptr, members = _generate_batch(
         g.payload(), active, active_idx, eta_i, model, roots, n_sets, seed
     )
-    return [
-        (id_offset + j, members[indptr[j] : indptr[j + 1]]) for j in range(n_sets)
-    ]
+    return [(j, members[indptr[j] : indptr[j + 1]]) for j in range(n_sets)]
 
 
 def sample_sets_pairs(
@@ -224,56 +223,46 @@ def sample_sets_pairs(
     seed: int,
     *,
     roots: str = "mrr",
-    id_offset: int = 0,
-    batches: int | None = None,
 ) -> DataFrame:
     """Distributed generation: DataFrame of (set_id, node) membership rows.
 
-    One task row per batch; each executor-side task traverses the
-    broadcast CSR payload. Set ids are globally unique given a unique
-    ``id_offset`` per call, so unions across doubling iterations are
-    well-defined.
+    One stage of ``2·defaultParallelism`` tasks at most, no shuffle: task
+    ``i`` draws its share of the ``n_sets`` sets with seed
+    ``seed + 7919·i`` over the broadcast CSR payload, numbering them on
+    from the sets of the tasks before it (ids 0 … n_sets−1).
     """
     if not active.any():
         raise ValueError("no active nodes to sample roots from")
-    if batches is None:
-        batches = max(1, min(n_sets, 2 * spark.sparkContext.defaultParallelism))
+    tasks = max(1, min(n_sets, 2 * spark.sparkContext.defaultParallelism))
     bc = g.broadcast(spark)
     active_bytes = np.packbits(active)
     n = g.n
-    sizes = np.full(batches, n_sets // batches, dtype=np.int64)
-    sizes[: n_sets % batches] += 1
-    sizes = sizes[sizes > 0]
-    offsets = id_offset + np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    tasks = pd.DataFrame(
-        {
-            # Named n_sets (not "count") — itertuples would shadow it with
-            # the namedtuple .count method.
-            "n_sets": sizes,
-            "seed": [seed + 7919 * i for i in range(len(sizes))],
-            "id_offset": offsets,
-        }
-    )
-    tasks_df = spark.createDataFrame(tasks).repartition(len(sizes))
+    sizes = np.full(tasks, n_sets // tasks, dtype=np.int64)
+    sizes[: n_sets % tasks] += 1
+    first = np.cumsum(sizes) - sizes
 
-    def gen(batches_iter: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def gen(task_ids: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         payload = bc.value
         act = np.unpackbits(active_bytes, count=n).astype(bool)
         act_idx = np.nonzero(act)[0]
-        for pdf in batches_iter:
-            for row in pdf.itertuples(index=False):
-                count = int(row.n_sets)
+        for pdf in task_ids:
+            for i in pdf["id"].tolist():
                 indptr, nodes = _generate_batch(
-                    payload, act, act_idx, eta_i, model, roots, count, int(row.seed)
+                    payload, act, act_idx, eta_i, model, roots, int(sizes[i]), seed + 7919 * i
                 )
-                ids = np.arange(int(row.id_offset), int(row.id_offset) + count)
-                set_id = np.repeat(ids, np.diff(indptr))
-                yield pd.DataFrame({"set_id": set_id, "node": nodes})
+                ids = np.arange(first[i], first[i] + sizes[i])
+                yield pd.DataFrame({"set_id": np.repeat(ids, np.diff(indptr)), "node": nodes})
 
-    return tasks_df.mapInPandas(gen, schema=PAIRS_SCHEMA)
+    return spark.range(0, tasks, 1, tasks).mapInPandas(gen, PAIRS_SCHEMA)
 
 
-def pairs_to_sets(pairs: DataFrame) -> list[np.ndarray]:
-    """Member arrays, in set-id order, of a ``(set_id, node)`` pairs frame."""
-    grouped = pairs.toPandas().groupby("set_id")["node"]
-    return [grp.to_numpy(np.int64) for _, grp in grouped]
+def pairs_to_sets(pairs: DataFrame) -> list[tuple[int, np.ndarray]]:
+    """(set_id, members) per set of a ``(set_id, node)`` pairs frame, in
+    set-id order — the shape ``sample_sets_local`` returns. Members keep
+    their row order within a set."""
+    pdf = pairs.toPandas()
+    set_id = pdf["set_id"].to_numpy(np.int64)
+    order = np.argsort(set_id, kind="stable")
+    set_id, node = set_id[order], pdf["node"].to_numpy(np.int64)[order]
+    ids, starts = np.unique(set_id, return_index=True)
+    return list(zip(ids.tolist(), np.split(node, starts[1:])))

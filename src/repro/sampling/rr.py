@@ -19,13 +19,9 @@ def sample_rr_local(
     model: str,
     n_sets: int,
     seed: int,
-    *,
-    id_offset: int = 0,
 ) -> list[tuple[int, np.ndarray]]:
     """Driver-local single-root RR sets over the active subgraph."""
-    return sample_sets_local(
-        g, active, 1, model, n_sets, seed, roots="rr", id_offset=id_offset
-    )
+    return sample_sets_local(g, active, 1, model, n_sets, seed, roots="rr")
 
 
 def sample_rr_pairs(
@@ -35,10 +31,6 @@ def sample_rr_pairs(
     model: str,
     n_sets: int,
     seed: int,
-    *,
-    id_offset: int = 0,
 ) -> DataFrame:
     """Distributed single-root RR sets as (set_id, node) membership rows."""
-    return sample_sets_pairs(
-        spark, g, active, 1, model, n_sets, seed, roots="rr", id_offset=id_offset
-    )
+    return sample_sets_pairs(spark, g, active, 1, model, n_sets, seed, roots="rr")

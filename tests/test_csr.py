@@ -64,17 +64,14 @@ def test_edges_pdf_round_trip(diamond):
 
 
 def test_payload_keys(diamond):
-    payload = diamond.payload()
-    assert {
+    """Only what the reverse sampler reads is broadcast."""
+    assert set(diamond.payload()) == {
         "n",
         "rev_indptr",
         "rev_indices",
         "rev_probs",
-        "fwd_indptr",
-        "fwd_indices",
-        "fwd_probs",
-        "indeg",
-    } <= set(payload)
+        "rev_cum",
+    }
 
 
 @pytest.mark.parametrize("name", list(DATASETS))
@@ -101,6 +98,37 @@ def test_broadcast_cached(spark, diamond):
     b2 = diamond.broadcast(spark)
     assert b1 is b2
     assert b1.value["n"] == 4
+
+
+class _StubContext:
+    """Counts broadcasts; stands in for a SparkContext."""
+
+    def __init__(self):
+        self.made = []
+
+    def broadcast(self, value):
+        self.made.append(object())
+        return self.made[-1]
+
+
+class _StubSession:
+    def __init__(self, ctx):
+        self.sparkContext = ctx
+
+
+def test_broadcast_cache_follows_the_context():
+    """Sessions on one context share a broadcast; a session whose context
+    changed (or a new session reusing a dead one's id) gets a fresh one."""
+    g = GraphCSR.from_edges(pd.DataFrame({"src": [0], "dst": [1]}), n=2)
+    ctx = _StubContext()
+    first = g.broadcast(_StubSession(ctx))
+    assert g.broadcast(_StubSession(ctx)) is first
+    assert len(ctx.made) == 1
+    session = _StubSession(ctx)
+    g.broadcast(session)
+    session.sparkContext = new_ctx = _StubContext()  # same session id, new context
+    fresh = g.broadcast(session)
+    assert fresh is new_ctx.made[0] and fresh is not first
 
 
 def test_n_inferred_when_omitted():

@@ -1,10 +1,10 @@
 """mRR-set sampling (paper §3.3): root-size law, Theorem 3.3 sandwich,
 RR-set truncation bias, and the distributed pairs path vs its oracle."""
+import importlib
 from math import comb
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 import pytest
 
 from repro.diffusion.propagate import (
@@ -64,13 +64,6 @@ def test_local_deterministic(small_cl_graph):
     for (ia, ma), (ib, mb) in zip(a, b):
         assert ia == ib
         np.testing.assert_array_equal(np.sort(ma), np.sort(mb))
-
-
-def test_set_ids_respect_offset(small_cl_graph):
-    g = small_cl_graph
-    active = np.ones(g.n, bool)
-    sets = sample_sets_local(g, active, 20, IC, 5, seed=1, id_offset=100)
-    assert [sid for sid, _ in sets] == [100, 101, 102, 103, 104]
 
 
 @pytest.mark.parametrize("model", [IC, LT])
@@ -173,25 +166,33 @@ def test_spark_pairs_shape(spark, small_cl_graph, model):
     assert not pdf.duplicated(["set_id", "node"]).any()
 
 
-def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph):
-    """Λ_R(v) via Spark groupBy equals the SQL GROUP BY oracle."""
+def test_spark_pairs_plan_has_no_exchange(spark, small_cl_graph):
+    """A Spark sampling job is one stage: no shuffle anywhere in its plan."""
+    g = small_cl_graph
+    pairs = sample_sets_pairs(spark, g, np.ones(g.n, bool), 20, IC, 40, seed=10)
+    pairs.collect()
+    plan = pairs._jdf.queryExecution().executedPlan().toString()
+    assert "MapInPandas" in plan
+    assert "Exchange" not in plan
+
+
+def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph, monkeypatch):
+    """Λ_R(v) from the Spark venue of ``_coverage_increment`` equals the
+    SQL GROUP BY oracle over the same pairs frame."""
+    trim_mod = importlib.import_module("repro.core.trim")
+    monkeypatch.setattr(trim_mod, "SPARK_MIN_SETS", 1)
+    monkeypatch.setattr(trim_mod, "sample_sets_local", None)  # Spark venue only
     g = small_cl_graph
     active = np.ones(g.n, bool)
+    active[:30] = False
+    cov = trim_mod._coverage_increment(spark, g, active, 20, IC, 100, 11, "mrr")
     pairs = sample_sets_pairs(spark, g, active, 20, IC, 100, seed=11)
-    pdf = pairs.toPandas()
-    got = pairs.groupBy("node").agg(F.count("*").alias("cov"))
+    got = pd.DataFrame({"node": np.flatnonzero(cov), "cov": cov[cov > 0]})
     assert_equivalent(
-        got, "SELECT node, count(*) AS cov FROM pairs GROUP BY node", pairs=pdf
+        spark.createDataFrame(got),
+        "SELECT node, count(*) AS cov FROM pairs GROUP BY node",
+        pairs=pairs,
     )
-
-
-def test_spark_pairs_id_offset(spark, small_cl_graph):
-    g = small_cl_graph
-    active = np.ones(g.n, bool)
-    pairs = sample_sets_pairs(
-        spark, g, active, 20, IC, 10, seed=12, id_offset=500
-    ).toPandas()
-    assert pairs["set_id"].min() >= 500 and pairs["set_id"].max() <= 509
 
 
 def test_spark_rejects_empty_active(spark, small_cl_graph):

@@ -18,7 +18,7 @@ from repro.baselines.ateuc import ateuc
 from repro.core.asti import asti
 from repro.core.trim import trim
 from repro.core.trim_b import trim_b
-from repro.diffusion.realization import IC
+from repro.diffusion.realization import IC, LT
 from repro.sampling.mrr import pairs_to_sets, sample_sets_local, sample_sets_pairs
 
 
@@ -47,18 +47,28 @@ def test_ateuc_spark_branch(spark, small_cl_graph, force_spark):
     assert 1 <= res.n_seeds == len(set(res.seeds))
 
 
-def test_pairs_to_sets_matches_local_batch(spark, small_cl_graph):
-    """One Spark task with the same seed draws the local batch; the pairs
-    frame comes back as the same member arrays in set order."""
+@pytest.mark.parametrize("roots", ["mrr", "rr"])
+@pytest.mark.parametrize("model", [IC, LT])
+def test_pairs_to_sets_matches_local_batch(spark, small_cl_graph, model, roots):
+    """Spark task i draws the local batch of its share of the sets with
+    seed ``seed + 7919·i``; the pairs frame comes back as the same
+    (set_id, members) list, ids numbered on across tasks."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[:20] = False
-    local = sample_sets_local(g, active, 15, IC, 60, seed=8)
-    pairs = sample_sets_pairs(spark, g, active, 15, IC, 60, seed=8, batches=1)
-    got = pairs_to_sets(pairs)
-    assert len(got) == len(local)
-    for m, (_, want) in zip(got, local):
-        assert np.array_equal(m, want)
+    n_sets, seed = 61, 8
+    tasks = min(n_sets, 2 * spark.sparkContext.defaultParallelism)
+    want = []
+    for i in range(tasks):
+        size = n_sets // tasks + (i < n_sets % tasks)
+        batch = sample_sets_local(g, active, 15, model, size, seed + 7919 * i, roots=roots)
+        want += [(len(want) + j, m) for j, m in batch]
+    got = pairs_to_sets(
+        sample_sets_pairs(spark, g, active, 15, model, n_sets, seed, roots=roots)
+    )
+    assert [sid for sid, _ in got] == [sid for sid, _ in want] == list(range(n_sets))
+    for (_, m), (_, want_m) in zip(got, want):
+        assert np.array_equal(m, want_m)
 
 
 def test_asti_with_spark_fanout(spark, small_cl_graph, force_spark):
